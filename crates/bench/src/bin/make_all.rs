@@ -26,8 +26,12 @@
 //!   delay from 256 ranks up; smoke sizes under `--smoke`) and emit its
 //!   telemetry as the `scale` block of the `--json` record.
 //! * `--json [PATH]` — write a machine-readable run record (per-figure
-//!   wall ms, thread count, simulated-event totals, elided wakes,
-//!   per-cell costs) to PATH (default `BENCH_harness.json`).
+//!   wall ms, process CPU ms, thread count, simulated-event totals,
+//!   elided wakes, per-cell costs) to PATH (default
+//!   `BENCH_harness.json`). The record's `history` array keeps one dated
+//!   row per run (date, git revision, host cores, wall and CPU time,
+//!   events): rows already in the file at PATH are carried over and this
+//!   run's row is appended.
 //! * `--trace [PATH]` — turn on phase-level span capture for every sweep
 //!   cell (per-cell phase latency stats then land in the `--json` record)
 //!   and export the traced 4-rank smoke as Chrome/Perfetto JSON at PATH
@@ -35,7 +39,8 @@
 //!   rendered table stays byte-identical to an untraced run.
 
 use gbcr_bench::{
-    ablations, fig1, fig10, fig3, fig4, fig5, fig7, fig8, fig9, scale, seed, trace, GROUP_SIZES,
+    ablations, fig1, fig10, fig3, fig4, fig5, fig7, fig8, fig9, host, scale, seed, trace,
+    GROUP_SIZES,
 };
 use std::time::Instant;
 
@@ -285,8 +290,10 @@ fn main() {
     let elided0 = gbcr_des::total_wakes_elided();
     let spawned0 = gbcr_des::total_procs_spawned();
     let t0 = Instant::now();
+    let cpu0 = host::process_cpu_ms();
     let (outputs, walls, section_events) = render_all(&secs, Some(threads));
     let parallel_secs = t0.elapsed().as_secs_f64();
+    let total_cpu_ms = cpu0.and_then(|c0| Some(host::process_cpu_ms()? - c0));
     let total_events = gbcr_des::total_events_processed() - events0;
     let total_elided = gbcr_des::total_wakes_elided() - elided0;
     let total_spawned = gbcr_des::total_procs_spawned() - spawned0;
@@ -294,8 +301,9 @@ fn main() {
         println!("{out}");
     }
     eprintln!(
-        "total wall time: {parallel_secs:.2}s on {threads} threads \
-         ({total_events} simulated events, {total_elided} progress wakes elided)"
+        "total wall time: {parallel_secs:.2}s on {threads} threads, {} CPU ms \
+         ({total_events} simulated events, {total_elided} progress wakes elided)",
+        host::ms_field(total_cpu_ms)
     );
 
     // The fault sweep is opt-in (`--faults`): it exercises the gbcr-faults
@@ -519,6 +527,7 @@ fn main() {
         j.push_str(&format!("  \"oversubscribed\": {oversubscribed},\n"));
         j.push_str(&format!("  \"smoke\": {},\n", args.smoke));
         j.push_str(&format!("  \"total_wall_ms\": {:.1},\n", parallel_secs * 1e3));
+        j.push_str(&format!("  \"total_cpu_ms\": {},\n", host::ms_field(total_cpu_ms)));
         j.push_str(&format!("  \"total_events\": {total_events},\n"));
         j.push_str(&format!("  \"total_elided_wakes\": {total_elided},\n"));
         j.push_str(&format!("  \"total_procs_spawned\": {total_spawned},\n"));
@@ -526,7 +535,6 @@ fn main() {
             "  \"executor\": \"{}\",\n",
             gbcr_des::executor_default().name()
         ));
-        j.push_str(&format!("  \"pool_threads\": {},\n", gbcr_des::pool_threads()));
         j.push_str(&format!("  \"sched\": \"{}\",\n", main_sched.name()));
         j.push_str(&format!("  \"lpt_seeded_cells\": {seeded},\n"));
         if let Some((other, sched_secs)) = sched_check {
@@ -574,6 +582,32 @@ fn main() {
                 chk.ok()
             ));
         }
+        // The perf trajectory: every earlier row in the file, then this
+        // run's, so regenerating the record never drops history.
+        let mut history = std::fs::read_to_string(path)
+            .map(|t| seed::history_rows(&t))
+            .unwrap_or_default();
+        history.push(format!(
+            "{{\"date\": \"{}\", \"rev\": \"{}\", \"host_cores\": {cores}, \
+             \"threads\": {threads}, \"smoke\": {}, \"executor\": \"{}\", \"sched\": \"{}\", \
+             \"total_wall_ms\": {:.1}, \"total_cpu_ms\": {}, \"total_events\": {total_events}, \
+             \"serial_wall_ms\": {}, \"sched_check_wall_ms\": {}}}",
+            host::utc_date(),
+            json_escape(&host::git_rev()),
+            args.smoke,
+            gbcr_des::executor_default().name(),
+            main_sched.name(),
+            parallel_secs * 1e3,
+            host::ms_field(total_cpu_ms),
+            host::ms_field(serial.map(|(s, _)| s * 1e3)),
+            host::ms_field(sched_check.map(|(_, s)| s * 1e3)),
+        ));
+        j.push_str("  \"history\": [\n");
+        for (i, row) in history.iter().enumerate() {
+            let comma = if i + 1 == history.len() { "" } else { "," };
+            j.push_str(&format!("    {row}{comma}\n"));
+        }
+        j.push_str("  ],\n");
         // Per-figure cost records: wall time plus the simulated-event
         // count (host-independent work measure), the scheduler backend,
         // and the core count, so perf trajectories are comparable across

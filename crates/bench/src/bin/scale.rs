@@ -6,9 +6,10 @@
 //! (constant) per-group write time as long as computation can overlap.
 //!
 //! The pooled coroutine executor lets the sweep reach the petascale-study
-//! regime: the full run goes 256 → 1 024 → 4 096 → 10 240 ranks on a
-//! bounded worker pool (`min(ncpu, 8)` OS threads). Also prints the
-//! Thunderbird-scale estimate from §3.1. Flags:
+//! regime: the full run goes 256 → 1 024 → 4 096 → 10 240 ranks, every
+//! rank a coroutine resumed inline on the thread running its simulation
+//! (no OS thread per rank). Also prints the Thunderbird-scale estimate
+//! from §3.1. Flags:
 //!
 //! * `--smoke` — 256 and 1 024 ranks only (tier-1 wall budget).
 //! * `--sizes a,b,c` — explicit rank counts.
@@ -17,11 +18,12 @@
 //! * `--sched` — rerun the sweep under the *other* event scheduler
 //!   (parallel conservative-window vs serial; the parallel pass forces
 //!   ≥2 shards), require the deterministic delay table byte-identical,
-//!   and print per-backend wall time plus the serial-over-parallel
-//!   speedup. On a ≥4-core host with ≥4 096-rank points the speedup must
-//!   reach 2× (on smaller hosts it is recorded but not gated).
+//!   and print per-backend wall time, process CPU time (user + system)
+//!   and the serial-over-parallel speedup. On a ≥4-core host with
+//!   ≥4 096-rank points the speedup must reach 2× (on smaller hosts it is
+//!   recorded but not gated).
 
-use gbcr_bench::scale;
+use gbcr_bench::{host, scale};
 use gbcr_des::{time, SchedKind};
 use gbcr_storage::GB;
 
@@ -78,7 +80,9 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
+    let cpu0 = host::process_cpu_ms();
     let cells = scale::run(&args.sizes, args.threads);
+    let main_cpu_ms = cpu_since(cpu0);
     print!("{}", scale::table(&cells).render());
     println!();
     print!("{}", scale::cost_table(&cells).render());
@@ -116,22 +120,27 @@ fn main() {
         if other == SchedKind::Parallel {
             gbcr_des::set_shard_count_default(shards);
         }
+        let cpu0 = host::process_cpu_ms();
         let cells2 = scale::run(&args.sizes, args.threads);
+        let other_cpu_ms = cpu_since(cpu0);
         gbcr_des::set_sched_default(main_kind);
         gbcr_des::set_shard_count_default(0);
         let identical = scale::table(&cells).render() == scale::table(&cells2).render();
         let wall = |cs: &[scale::ScaleCell]| cs.iter().map(|c| c.wall_ms).sum::<f64>();
         // Orient the speedup as serial-over-parallel regardless of which
         // backend the main run used.
-        let (serial_ms, parallel_ms) = match main_kind {
-            SchedKind::Serial => (wall(&cells), wall(&cells2)),
-            SchedKind::Parallel => (wall(&cells2), wall(&cells)),
+        let ((serial_ms, serial_cpu), (parallel_ms, parallel_cpu)) = match main_kind {
+            SchedKind::Serial => ((wall(&cells), main_cpu_ms), (wall(&cells2), other_cpu_ms)),
+            SchedKind::Parallel => ((wall(&cells2), other_cpu_ms), (wall(&cells), main_cpu_ms)),
         };
         let speedup = serial_ms / parallel_ms;
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         println!(
             "scale sched check: tables_identical={identical} serial_ms={serial_ms:.0} \
-             parallel_ms={parallel_ms:.0} speedup={speedup:.2} host_cores={cores}"
+             parallel_ms={parallel_ms:.0} speedup={speedup:.2} host_cores={cores} \
+             serial_cpu_ms={} parallel_cpu_ms={}",
+            host::ms_field(serial_cpu),
+            host::ms_field(parallel_cpu),
         );
         if !identical {
             eprintln!("scale sched check FAILED: delay tables differ between schedulers");
@@ -160,4 +169,9 @@ fn main() {
         cells.last().map_or("none", |c| c.executor),
         cells.last().map_or("none", |c| c.sched),
     );
+}
+
+/// Process CPU milliseconds used since the reading `t0`.
+fn cpu_since(t0: Option<f64>) -> Option<f64> {
+    Some(host::process_cpu_ms()? - t0?)
 }

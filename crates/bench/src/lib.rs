@@ -20,6 +20,7 @@ pub mod fig7;
 pub mod fig10;
 pub mod fig8;
 pub mod fig9;
+pub mod host;
 pub mod paper;
 pub mod scale;
 pub mod seed;

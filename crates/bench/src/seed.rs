@@ -107,9 +107,33 @@ fn field<'a>(obj: &'a str, name: &str) -> Option<&'a str> {
     Some(val[..end].trim())
 }
 
+/// The rows of the `"history"` array in a previous `--json` record: one
+/// JSON object per line, as `make_all` writes them, trailing commas
+/// stripped. A record without the array (or no record) has no rows.
+pub fn history_rows(text: &str) -> Vec<String> {
+    text.lines()
+        .skip_while(|l| l.trim() != "\"history\": [")
+        .skip(1)
+        .take_while(|l| !l.trim_start().starts_with(']'))
+        .map(|l| l.trim().trim_end_matches(',').to_owned())
+        .filter(|l| l.starts_with('{'))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Dated history rows survive a regeneration: they are read back in
+    /// order, one per line, and nothing else in the record is taken for a
+    /// row.
+    #[test]
+    fn history_rows_are_read_back_in_order() {
+        let text = "{\n  \"threads\": 1,\n  \"history\": [\n    {\"date\": \"a\"},\n    \
+                    {\"date\": \"b\"}\n  ],\n  \"cells\": [\n    {\"key\": \"k\"}\n  ]\n}\n";
+        assert_eq!(history_rows(text), vec!["{\"date\": \"a\"}", "{\"date\": \"b\"}"]);
+        assert!(history_rows("{\n  \"cells\": []\n}\n").is_empty());
+    }
 
     /// Regression for the `lpt_seeded_cells: 0` bug: a previous-run
     /// record whose cells carry nested `phases` arrays (a traced run)

@@ -15,9 +15,8 @@
 //! `catch_unwind`, so no unwind can ever cross the switch frames; the
 //! final switch out of a finished task happens only after every value
 //! with a destructor on that stack has been dropped, so abandoning the
-//! stack leaks nothing; and the scheduler/worker handoff protocol (see
-//! [`crate::pool`]) guarantees a context is never entered by two threads
-//! at once. Stacks are uncommitted until touched (large allocations are
+//! stack leaks nothing; and the resume protocol (see [`crate::pool`])
+//! guarantees a context is never entered by two threads at once. Stacks are uncommitted until touched (large allocations are
 //! fresh anonymous mappings), so 10k+ mostly-idle tasks cost virtual
 //! address space, not resident memory.
 
@@ -39,7 +38,7 @@ pub(crate) struct Stack {
     size: usize,
 }
 
-// The stack is only ever used by one thread at a time (the pool worker
+// The stack is only ever used by one thread at a time (the thread
 // hosting the current slice); ownership moves with the TaskCell.
 unsafe impl Send for Stack {}
 

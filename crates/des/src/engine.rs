@@ -575,8 +575,9 @@ impl Sim {
     }
 
     /// Peak OS threads the execution backend used for simulated
-    /// processes: the worker-pool size under the pooled executor, the
-    /// peak live process count under the threaded one.
+    /// processes: 1 under the pooled executor (slices run on the thread
+    /// that drives the simulation), the peak live process count under the
+    /// threaded one.
     pub fn exec_threads(&self) -> u64 {
         self.handle.inner.exec.exec_threads(&self.handle.inner.stats)
     }
@@ -765,11 +766,10 @@ impl Sim {
         for slot in procs.iter_mut() {
             if !slot.gate.is_done() {
                 slot.killed.store(true, Ordering::Relaxed);
-                // Teardown hands control over; the kill check unwinds the
-                // user closure and the gate comes back as Done. (Pooled
-                // tasks that never started are terminated in place, so
-                // shutdown needs no pool workers.)
-                slot.gate.teardown();
+                // Resuming a killed process unwinds its user closure (a
+                // pooled one on this thread) and the gate comes back as
+                // Done; one that never started is dropped without running.
+                let _ = slot.gate.resume();
             }
             if let Some(j) = slot.join.take() {
                 let _ = j.join();

@@ -21,10 +21,10 @@
 //! user-facing API stays free of combinators and lifetimes. Underneath,
 //! two interchangeable executors provide the blocking illusion (see
 //! [`DesConfig`]): the default *pooled* backend runs each process as a
-//! stackful coroutine on a small shared worker pool (live OS threads
-//! scale with `min(ncpu, 8)`, not rank count — this is what makes
-//! 10k-rank simulations affordable), and the legacy *threaded* backend
-//! dedicates an OS thread per process with a mutex+condvar baton.
+//! stackful coroutine that the scheduler resumes inline on its own thread
+//! (no OS thread per rank and no cross-thread handoff — this is what
+//! makes 10k-rank simulations affordable), and the legacy *threaded*
+//! backend dedicates an OS thread per process with a mutex+condvar baton.
 //! Determinism is a property of the scheduler's total event order, not of
 //! the backend, and the benchmark harness checks byte-identical output
 //! across both on every run.

@@ -3,9 +3,9 @@
 //! Every simulated process runs behind a [`crate::exec::Gate`] — the
 //! scheduler↔process handoff that guarantees at most one simulated
 //! process runs at any instant: the scheduler resumes a process and then
-//! blocks until the process either *parks* (yields) or finishes. Whether
-//! the gate is backed by a dedicated OS thread or by a pooled coroutine
-//! (see [`crate::exec`] / [`crate::pool`]) is invisible here. All
+//! waits until the process either *parks* (yields) or finishes. Whether
+//! the gate is backed by a dedicated OS thread or by a coroutine run
+//! inline (see [`crate::exec`] / [`crate::pool`]) is invisible here. All
 //! simulation state can therefore be mutated without data races, as long
 //! as code never parks while holding a lock (an invariant all crates in
 //! this workspace follow).
@@ -125,9 +125,9 @@ thread_local! {
 }
 
 /// Reset this OS thread's kill-unwind flag. Both executor backends call
-/// this when a task's unwind has been caught: pool workers are reused for
-/// other tasks, and a stale flag would silently swallow the next real
-/// panic's output.
+/// this when a task's unwind has been caught: pooled slices run on the
+/// scheduler's thread, which goes on to host other tasks, and a stale flag
+/// would silently swallow the next real panic's output.
 pub(crate) fn clear_kill_unwind_flag() {
     KILL_UNWINDING.with(|f| f.set(false));
 }

@@ -493,13 +493,13 @@ fn dispatch_event(
 ) -> SimResult<()> {
     match kind {
         EventKind::Wake(pid) => {
-            if let Err(e) = gate_of(gates, inner, pid).resume_local() {
+            if let Err(e) = gate_of(gates, inner, pid).resume() {
                 return Err(resume_error_for(inner, pid, e));
             }
         }
         EventKind::CancellableWake { slot, gen, pid } => {
             if inner.timers.retire(slot, gen) {
-                if let Err(e) = gate_of(gates, inner, pid).resume_local() {
+                if let Err(e) = gate_of(gates, inner, pid).resume() {
                     return Err(resume_error_for(inner, pid, e));
                 }
             }

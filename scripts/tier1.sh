@@ -37,11 +37,13 @@ grep -q "sched check: tables byte-identical" target/make_all_smoke.err || {
 }
 
 # Scale smoke: 256- and 1024-rank group-vs-cluster runs on the pooled
-# coroutine executor, under a hard wall budget (the full local run takes
-# ~10 s with the scheduler A/B; the budget catches executor-overhead
-# regressions, not CI jitter). `--sched` reruns the sweep under the other
-# scheduler backend and exits non-zero unless the delay tables are
-# byte-identical (and, on a >=4-core host, unless parallel reaches 2x).
+# coroutine executor, under a hard wall budget (the whole binary takes
+# ~5 s wall on a 2-core host, scheduler A/B included, with CPU time about
+# equal to wall; the budget catches executor-overhead regressions, not CI
+# jitter). `--sched` reruns the sweep under the other scheduler backend
+# and exits non-zero unless the delay tables are byte-identical (and, on
+# a >=4-core host, unless parallel reaches 2x). The check line also
+# carries each pass's process CPU ms after `host_cores=`.
 timeout 120 cargo run --release -p gbcr-bench --bin scale -- --smoke --sched \
   > target/scale_smoke.out || {
   echo "tier1: scale smoke failed or blew its 120 s wall budget:" >&2
