@@ -17,11 +17,6 @@
 //!   output); then rerun once more on the legacy *threaded* executor and
 //!   verify once more (pooled coroutine execution must not change any
 //!   output either).
-//! * `--sched` — rerun everything under the *other* event scheduler
-//!   (parallel conservative-window if the run defaulted to serial, and
-//!   vice versa; the parallel pass forces ≥2 shards) and verify every
-//!   rendered table is byte-identical, reporting per-backend wall time
-//!   side by side.
 //! * `--scale` — append the scale study (group-based vs whole-cluster
 //!   delay from 256 ranks up; smoke sizes under `--smoke`) and emit its
 //!   telemetry as the `scale` block of the `--json` record.
@@ -48,7 +43,6 @@ struct Args {
     threads: Option<usize>,
     smoke: bool,
     serial_check: bool,
-    sched_check: bool,
     faults: bool,
     fig9: bool,
     fig10: bool,
@@ -63,7 +57,6 @@ fn parse_args() -> Args {
         threads: None,
         smoke: false,
         serial_check: false,
-        sched_check: false,
         faults: false,
         fig9: false,
         fig10: false,
@@ -84,7 +77,6 @@ fn parse_args() -> Args {
             }
             "--smoke" => out.smoke = true,
             "--serial-check" => out.serial_check = true,
-            "--sched" => out.sched_check = true,
             "--faults" => out.faults = true,
             "--fig9" => out.fig9 = true,
             "--fig10" => out.fig10 = true,
@@ -114,9 +106,8 @@ fn parse_args() -> Args {
             other => {
                 eprintln!("unknown flag {other}");
                 eprintln!(
-                    "usage: make_all [--threads N] [--smoke] [--serial-check] [--sched] \
-                     [--faults] [--fig9] [--fig10] \
-                     [--backend central|failover|replicated] [--scale] \
+                    "usage: make_all [--threads N] [--smoke] [--serial-check] [--faults] \
+                     [--fig9] [--fig10] [--backend central|failover|replicated] [--scale] \
                      [--json [PATH]] [--trace [PATH]]"
                 );
                 std::process::exit(2);
@@ -454,52 +445,6 @@ fn main() {
         }
     }
 
-    // Scheduler A/B (`--sched`): rerun every section under the *other*
-    // event scheduler and require byte-identical tables. The parallel
-    // pass forces at least two shards so the conservative-window path
-    // actually executes even on a single-core host.
-    let main_sched = gbcr_des::sched_default();
-    let mut sched_check: Option<(gbcr_des::SchedKind, f64)> = None;
-    if args.sched_check {
-        let other = match main_sched {
-            gbcr_des::SchedKind::Serial => gbcr_des::SchedKind::Parallel,
-            gbcr_des::SchedKind::Parallel => gbcr_des::SchedKind::Serial,
-        };
-        let shards = gbcr_des::shard_count_default().max(2);
-        eprintln!("sched check: rerunning everything on the {} scheduler...", other.name());
-        gbcr_des::set_sched_default(other);
-        if other == gbcr_des::SchedKind::Parallel {
-            gbcr_des::set_shard_count_default(shards);
-        }
-        let t2 = Instant::now();
-        let (sched_outputs, _, _) = render_all(&secs, Some(threads));
-        let sched_secs = t2.elapsed().as_secs_f64();
-        gbcr_des::set_sched_default(main_sched);
-        gbcr_des::set_shard_count_default(0);
-        if sched_outputs == outputs {
-            eprintln!(
-                "sched check: tables byte-identical; {} {parallel_secs:.2}s vs {} \
-                 {sched_secs:.2}s ({:.2}x)",
-                main_sched.name(),
-                other.name(),
-                parallel_secs / sched_secs
-            );
-        } else {
-            for (i, (name, _)) in secs.iter().enumerate() {
-                if sched_outputs[i] != outputs[i] {
-                    eprintln!(
-                        "sched check FAILED: section {name} differs between the {} and {} \
-                         schedulers",
-                        main_sched.name(),
-                        other.name()
-                    );
-                }
-            }
-            std::process::exit(1);
-        }
-        sched_check = Some((other, sched_secs));
-    }
-
     let mut trace_exported: Option<(String, trace::TraceCheck)> = None;
     if let Some(path) = &args.trace {
         if let Some(dir) = std::path::Path::new(path).parent() {
@@ -535,17 +480,7 @@ fn main() {
             "  \"executor\": \"{}\",\n",
             gbcr_des::executor_default().name()
         ));
-        j.push_str(&format!("  \"sched\": \"{}\",\n", main_sched.name()));
         j.push_str(&format!("  \"lpt_seeded_cells\": {seeded},\n"));
-        if let Some((other, sched_secs)) = sched_check {
-            j.push_str(&format!("  \"sched_check_backend\": \"{}\",\n", other.name()));
-            j.push_str(&format!("  \"sched_check_wall_ms\": {:.1},\n", sched_secs * 1e3));
-            j.push_str(&format!(
-                "  \"sched_check_speedup\": {:.2},\n",
-                parallel_secs / sched_secs
-            ));
-            j.push_str("  \"sched_check_identical\": true,\n");
-        }
         if let Some((serial_secs, serial_identical)) = serial {
             let (polled_identical, polled_events) = polled.expect("polled pass ran");
             let threaded_identical = executor_check.expect("executor pass ran");
@@ -589,18 +524,16 @@ fn main() {
             .unwrap_or_default();
         history.push(format!(
             "{{\"date\": \"{}\", \"rev\": \"{}\", \"host_cores\": {cores}, \
-             \"threads\": {threads}, \"smoke\": {}, \"executor\": \"{}\", \"sched\": \"{}\", \
+             \"threads\": {threads}, \"smoke\": {}, \"executor\": \"{}\", \
              \"total_wall_ms\": {:.1}, \"total_cpu_ms\": {}, \"total_events\": {total_events}, \
-             \"serial_wall_ms\": {}, \"sched_check_wall_ms\": {}}}",
+             \"serial_wall_ms\": {}}}",
             host::utc_date(),
             json_escape(&host::git_rev()),
             args.smoke,
             gbcr_des::executor_default().name(),
-            main_sched.name(),
             parallel_secs * 1e3,
             host::ms_field(total_cpu_ms),
             host::ms_field(serial.map(|(s, _)| s * 1e3)),
-            host::ms_field(sched_check.map(|(_, s)| s * 1e3)),
         ));
         j.push_str("  \"history\": [\n");
         for (i, row) in history.iter().enumerate() {
@@ -609,9 +542,8 @@ fn main() {
         }
         j.push_str("  ],\n");
         // Per-figure cost records: wall time plus the simulated-event
-        // count (host-independent work measure), the scheduler backend,
-        // and the core count, so perf trajectories are comparable across
-        // machines.
+        // count (host-independent work measure) and the core count, so
+        // perf trajectories are comparable across machines.
         j.push_str("  \"figures\": [\n");
         for (i, (((name, _), wall), ev)) in
             secs.iter().zip(&walls).zip(&section_events).enumerate()
@@ -619,9 +551,8 @@ fn main() {
             let comma = if i + 1 == secs.len() { "" } else { "," };
             j.push_str(&format!(
                 "    {{\"name\": \"{}\", \"wall_ms\": {wall:.1}, \"events\": {ev}, \
-                 \"sched\": \"{}\", \"host_cores\": {cores}}}{comma}\n",
-                json_escape(name),
-                main_sched.name()
+                 \"host_cores\": {cores}}}{comma}\n",
+                json_escape(name)
             ));
         }
         j.push_str("  ],\n");

@@ -15,28 +15,22 @@
 //! * `--sizes a,b,c` — explicit rank counts.
 //! * `--threads N` — sweep worker pool size (`GBCR_THREADS` default).
 //! * `--json PATH` — write the `scale` telemetry block to PATH.
-//! * `--sched` — rerun the sweep under the *other* event scheduler
-//!   (parallel conservative-window vs serial; the parallel pass forces
-//!   ≥2 shards), require the deterministic delay table byte-identical,
-//!   and print per-backend wall time, process CPU time (user + system)
-//!   and the serial-over-parallel speedup. On a ≥4-core host with
-//!   ≥4 096-rank points the speedup must reach 2× (on smaller hosts it is
-//!   recorded but not gated).
+//!
+//! Besides the tables, it prints the sweep's total wall time and process
+//! CPU time (user + system) on one `scale cost:` line.
 
 use gbcr_bench::{host, scale};
-use gbcr_des::{time, SchedKind};
+use gbcr_des::time;
 use gbcr_storage::GB;
 
 struct Args {
     sizes: Vec<u32>,
     threads: Option<usize>,
     json: Option<String>,
-    sched: bool,
 }
 
 fn parse_args() -> Args {
-    let mut out =
-        Args { sizes: scale::SIZES_FULL.to_vec(), threads: None, json: None, sched: false };
+    let mut out = Args { sizes: scale::SIZES_FULL.to_vec(), threads: None, json: None };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -65,12 +59,9 @@ fn parse_args() -> Args {
                     std::process::exit(2);
                 }));
             }
-            "--sched" => out.sched = true,
             other => {
                 eprintln!("unknown flag {other}");
-                eprintln!(
-                    "usage: scale [--smoke] [--sizes a,b,c] [--threads N] [--json PATH] [--sched]"
-                );
+                eprintln!("usage: scale [--smoke] [--sizes a,b,c] [--threads N] [--json PATH]");
                 std::process::exit(2);
             }
         }
@@ -82,7 +73,7 @@ fn main() {
     let args = parse_args();
     let cpu0 = host::process_cpu_ms();
     let cells = scale::run(&args.sizes, args.threads);
-    let main_cpu_ms = cpu_since(cpu0);
+    let cpu_ms = cpu_since(cpu0);
     print!("{}", scale::table(&cells).render());
     println!();
     print!("{}", scale::cost_table(&cells).render());
@@ -105,69 +96,21 @@ fn main() {
         eprintln!("wrote {path}");
     }
 
-    // Scheduler A/B (`--sched`): the delay table is a model output, so it
-    // must be byte-identical under both schedulers; the wall times show
-    // what the conservative-window backend buys on this host.
-    if args.sched {
-        let main_kind = gbcr_des::sched_default();
-        let other = match main_kind {
-            SchedKind::Serial => SchedKind::Parallel,
-            SchedKind::Parallel => SchedKind::Serial,
-        };
-        let shards = gbcr_des::shard_count_default().max(2);
-        eprintln!("scale sched check: rerunning under the {} scheduler...", other.name());
-        gbcr_des::set_sched_default(other);
-        if other == SchedKind::Parallel {
-            gbcr_des::set_shard_count_default(shards);
-        }
-        let cpu0 = host::process_cpu_ms();
-        let cells2 = scale::run(&args.sizes, args.threads);
-        let other_cpu_ms = cpu_since(cpu0);
-        gbcr_des::set_sched_default(main_kind);
-        gbcr_des::set_shard_count_default(0);
-        let identical = scale::table(&cells).render() == scale::table(&cells2).render();
-        let wall = |cs: &[scale::ScaleCell]| cs.iter().map(|c| c.wall_ms).sum::<f64>();
-        // Orient the speedup as serial-over-parallel regardless of which
-        // backend the main run used.
-        let ((serial_ms, serial_cpu), (parallel_ms, parallel_cpu)) = match main_kind {
-            SchedKind::Serial => ((wall(&cells), main_cpu_ms), (wall(&cells2), other_cpu_ms)),
-            SchedKind::Parallel => ((wall(&cells2), other_cpu_ms), (wall(&cells), main_cpu_ms)),
-        };
-        let speedup = serial_ms / parallel_ms;
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        println!(
-            "scale sched check: tables_identical={identical} serial_ms={serial_ms:.0} \
-             parallel_ms={parallel_ms:.0} speedup={speedup:.2} host_cores={cores} \
-             serial_cpu_ms={} parallel_cpu_ms={}",
-            host::ms_field(serial_cpu),
-            host::ms_field(parallel_cpu),
-        );
-        if !identical {
-            eprintln!("scale sched check FAILED: delay tables differ between schedulers");
-            std::process::exit(1);
-        }
-        // The ≥2× acceptance gate only applies where real parallelism
-        // exists; single- and dual-core hosts record the ratio unjudged.
-        let max_ranks = args.sizes.iter().copied().max().unwrap_or(0);
-        if cores >= 4 && max_ranks >= 4096 && speedup < 2.0 {
-            eprintln!(
-                "scale sched check FAILED: expected >=2x parallel speedup on a \
-                 {cores}-core host at {max_ranks} ranks, got {speedup:.2}x"
-            );
-            std::process::exit(1);
-        }
-    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let wall_ms: f64 = cells.iter().map(|c| c.wall_ms).sum();
+    println!(
+        "scale cost: wall_ms={wall_ms:.0} cpu_ms={} host_cores={cores}",
+        host::ms_field(cpu_ms)
+    );
 
     // One greppable line for scripts/tier1.sh and CI.
     let max_ranks = cells.iter().map(|c| c.ranks).max().unwrap_or(0);
     let peak = cells.iter().map(|c| c.peak_live_threads).max().unwrap_or(0);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let ok = cells.iter().all(|c| c.eff_all > 0.0 && c.eff_group > 0.0 && c.reduction() > 0.0);
     println!(
         "scale check: max_ranks={max_ranks} peak_exec_threads={peak} \
-         executor={} sched={} host_cores={cores} monotone_reduction={ok}",
+         executor={} host_cores={cores} monotone_reduction={ok}",
         cells.last().map_or("none", |c| c.executor),
-        cells.last().map_or("none", |c| c.sched),
     );
 }
 

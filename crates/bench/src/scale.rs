@@ -49,12 +49,6 @@ pub struct ScaleCell {
     pub peak_live_threads: u64,
     /// Which executor backend ran the processes.
     pub executor: &'static str,
-    /// Which event scheduler ran the runs (`serial` or `parallel`; the
-    /// name reflects what actually executed after any fallback).
-    pub sched: &'static str,
-    /// Shard/window telemetry summed over the three runs (all zeros
-    /// under the serial scheduler).
-    pub sched_telemetry: gbcr_des::SchedTelemetry,
     /// Wall milliseconds spent spawning processes, summed over the runs.
     pub spawn_ms: f64,
 }
@@ -108,21 +102,12 @@ pub fn run(sizes: &[u32], threads: Option<usize>) -> Vec<ScaleCell> {
             let mut procs_spawned = 0;
             let mut peak_live_threads = 0;
             let mut spawn_ns = 0;
-            let mut tel = gbcr_des::SchedTelemetry::default();
             for r in all {
                 events += r.events;
                 elided_wakes += r.elided_wakes;
                 procs_spawned += r.procs_spawned;
                 peak_live_threads = peak_live_threads.max(r.exec_threads);
                 spawn_ns += r.spawn_cost_ns.0;
-                let t = r.sched_telemetry;
-                tel.shards = tel.shards.max(t.shards);
-                tel.windows += t.windows;
-                tel.fenced_windows += t.fenced_windows;
-                tel.horizon_stalls += t.horizon_stalls;
-                tel.occupancy_sum += t.occupancy_sum;
-                tel.cross_msgs += t.cross_msgs;
-                tel.local_msgs += t.local_msgs;
             }
             ScaleCell {
                 ranks: n,
@@ -134,8 +119,6 @@ pub fn run(sizes: &[u32], threads: Option<usize>) -> Vec<ScaleCell> {
                 procs_spawned,
                 peak_live_threads,
                 executor: gr.baseline.executor.name(),
-                sched: gr.baseline.sched.name(),
-                sched_telemetry: tel,
                 spawn_ms: spawn_ns as f64 / 1e6,
             }
         })
@@ -166,22 +149,9 @@ pub fn table(cells: &[ScaleCell]) -> Table {
 pub fn cost_table(cells: &[ScaleCell]) -> Table {
     let mut t = Table::new(
         "Scale study — simulator cost per job size (3 runs each)",
-        &[
-            "ranks",
-            "wall ms",
-            "events",
-            "procs",
-            "peak exec threads",
-            "spawn ms",
-            "executor",
-            "sched",
-            "windows",
-            "occ",
-            "xmsg",
-        ],
+        &["ranks", "wall ms", "events", "procs", "peak exec threads", "spawn ms", "executor"],
     );
     for c in cells {
-        let tel = &c.sched_telemetry;
         t.row(&[
             c.ranks.to_string(),
             format!("{:.0}", c.wall_ms),
@@ -190,10 +160,6 @@ pub fn cost_table(cells: &[ScaleCell]) -> Table {
             c.peak_live_threads.to_string(),
             format!("{:.1}", c.spawn_ms),
             c.executor.to_owned(),
-            c.sched.to_owned(),
-            tel.windows.to_string(),
-            format!("{:.2}", tel.avg_occupancy()),
-            format!("{:.3}", tel.cross_ratio()),
         ]);
     }
     t
@@ -204,15 +170,11 @@ pub fn json_block(cells: &[ScaleCell]) -> String {
     let mut j = String::from("[\n");
     for (i, c) in cells.iter().enumerate() {
         let comma = if i + 1 == cells.len() { "" } else { "," };
-        let tel = &c.sched_telemetry;
         j.push_str(&format!(
             "    {{\"ranks\": {}, \"wall_ms\": {:.1}, \"events\": {}, \
              \"elided_wakes\": {}, \"procs_spawned\": {}, \
              \"peak_live_threads\": {}, \"spawn_ms\": {:.1}, \
-             \"executor\": \"{}\", \"sched\": \"{}\", \"shards\": {}, \
-             \"windows\": {}, \"fenced_windows\": {}, \"horizon_stalls\": {}, \
-             \"avg_occupancy\": {:.2}, \"cross_msg_ratio\": {:.3}, \
-             \"eff_all_s\": {:.1}, \"eff_group_s\": {:.1}}}{comma}\n",
+             \"executor\": \"{}\", \"eff_all_s\": {:.1}, \"eff_group_s\": {:.1}}}{comma}\n",
             c.ranks,
             c.wall_ms,
             c.events,
@@ -221,13 +183,6 @@ pub fn json_block(cells: &[ScaleCell]) -> String {
             c.peak_live_threads,
             c.spawn_ms,
             c.executor,
-            c.sched,
-            tel.shards,
-            tel.windows,
-            tel.fenced_windows,
-            tel.horizon_stalls,
-            tel.avg_occupancy(),
-            tel.cross_ratio(),
             c.eff_all,
             c.eff_group,
         ));

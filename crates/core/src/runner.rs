@@ -1,7 +1,5 @@
-//! The unified job-submission API: one builder replacing the historical
-//! `run_job` / `run_job_traced` / `run_job_with_crash` / `run_job_faulted`
-//! / `run_job_faulted_traced` free functions (and their supervised
-//! cousins).
+//! The job-submission API: one builder for every way to run a job (solo,
+//! traced, crashed, faulted, restarted, supervised).
 //!
 //! ```
 //! # use gbcr_core::{JobSpec, RankCtx};

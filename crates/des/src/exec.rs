@@ -149,14 +149,11 @@ pub(crate) enum ResumeError {
 /// process and returns once it parks or finishes; `park` is the process
 /// side handing control back. Exactly one simulated process runs at any
 /// instant because the scheduler only ever resumes one gate at a time and
-/// is held inside `resume` until the slice is over (per shard under the
-/// parallel scheduler).
+/// is held inside `resume` until the slice is over.
 pub(crate) trait Gate: Send + Sync {
     /// Scheduler side: run one slice of this process. `Ok` on park or
     /// normal finish (stale wakes on finished processes are no-ops). The
-    /// pooled backend runs the slice on the calling thread, so
-    /// thread-local scheduler context (a shard worker's clock) is
-    /// visible to the process code.
+    /// pooled backend runs the slice on the calling thread.
     fn resume(&self) -> Result<(), ResumeError>;
     /// Process side: yield back to the scheduler; returns when resumed.
     fn park(&self);

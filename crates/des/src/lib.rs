@@ -57,7 +57,6 @@ mod error;
 mod exec;
 mod pool;
 mod process;
-mod sched;
 mod signal;
 pub mod time;
 mod timer;
@@ -72,10 +71,6 @@ pub use engine::{
 };
 pub use error::{SimError, SimResult};
 pub use exec::{executor_default, set_executor_default, DesConfig, ExecKind};
-pub use sched::{
-    sched_default, set_sched_default, set_shard_count_default, shard_count_default, SchedKind,
-    SchedTelemetry,
-};
 pub use gbcr_trace::{Arg, ArgValue, Event, Span, TraceData, TraceLevel, Tracer, Track};
 pub use pool::pool_threads;
 #[doc(hidden)]
@@ -85,3 +80,33 @@ pub use signal::Signal;
 pub use time::Time;
 pub use timer::TimerHandle;
 pub use wake::DemandWake;
+
+/// The event scheduler a run uses. There is one: the serial `(time, seq)`
+/// heap loop in [`Sim::run`]. This type, [`sched_default`],
+/// [`set_sched_default`] and [`shard_count_default`] exist only because
+/// the `perfbench/` harness names them; they configure nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SchedKind {
+    /// The serial heap loop.
+    Serial,
+}
+
+impl SchedKind {
+    /// Stable lower-case name, as emitted in benchmark output.
+    pub fn name(self) -> &'static str {
+        "serial"
+    }
+}
+
+/// Always [`SchedKind::Serial`] (kept for `perfbench/`, see [`SchedKind`]).
+pub fn sched_default() -> SchedKind {
+    SchedKind::Serial
+}
+
+/// No-op (kept for `perfbench/`, see [`SchedKind`]).
+pub fn set_sched_default(_kind: SchedKind) {}
+
+/// Always 1 (kept for `perfbench/`, see [`SchedKind`]).
+pub fn shard_count_default() -> usize {
+    1
+}

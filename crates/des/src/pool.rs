@@ -6,8 +6,7 @@
 //! allocated coroutine stack. `resume` switches from the caller's stack
 //! onto the task's stack, runs the slice until the process parks or
 //! finishes, and switches back: the slice is hosted by the *calling*
-//! thread (the serial scheduler's thread, a parallel-scheduler shard
-//! worker, or the fenced-window control thread), with no queue, no
+//! thread (the one running the event loop), with no queue, no
 //! condvar and no second OS thread. Live OS threads therefore do not
 //! grow with rank count at all, and the one-runnable-process-at-a-time
 //! invariant holds trivially: the resuming thread is busy inside the
@@ -24,9 +23,9 @@
 //! `task_sp`, `host_sp`, `body` and `pending` are only touched (a) by
 //! the thread currently hosting the slice — which includes the coroutine
 //! itself, since it runs *on* that thread — or (b) by `Executor::spawn`
-//! before the cell is shared. Under the parallel scheduler successive
-//! slices of one task may be hosted by different threads; that handover
-//! is ordered by the `st` mutex: a host publishes `Parked` under the lock
+//! before the cell is shared. A `Sim` driven from different threads over
+//! its lifetime hosts successive slices of one task on different
+//! threads; that handover is ordered by the `st` mutex: a host publishes `Parked` under the lock
 //! after its last access, and the next host observes `Parked → Running`
 //! under the same lock before its first access.
 
@@ -257,8 +256,7 @@ impl Executor for PooledExecutor {
 
 /// Extra OS threads the pooled executor starts to host process slices:
 /// always 0, because every slice runs on the calling thread — the one
-/// that drives the [`crate::Sim`] (or, under the parallel scheduler, the
-/// shard worker executing that process's window).
+/// that drives the [`crate::Sim`].
 pub fn pool_threads() -> usize {
     0
 }

@@ -71,16 +71,6 @@ impl NetConfig {
     pub fn serialize_time(&self, bytes: u64) -> Time {
         time::transfer_time(bytes, self.bandwidth)
     }
-
-    /// The conservative-scheduler lookahead this fabric provides: a
-    /// message handed to the fabric at time `t` is delivered no earlier
-    /// than `t + lookahead`. Delivery time is
-    /// `max(busy, t) + overhead + serialize + latency ≥ t + latency`, so
-    /// the wire latency is a sound (and tight, for empty messages on an
-    /// idle link) lower bound.
-    pub fn lookahead(&self) -> Time {
-        self.latency
-    }
 }
 
 #[cfg(test)]

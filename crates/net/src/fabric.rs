@@ -35,9 +35,9 @@ struct ConnInner {
     state: ConnState,
     /// While `Connecting`: the virtual time at which setup completes and
     /// the connection becomes `Active`. A concurrent connector sleeps
-    /// until this instant and the first arrival flips the state — no
-    /// waiter-list wake crosses the connection (which, under the parallel
-    /// scheduler, would be a sub-lookahead cross-shard wake).
+    /// until this instant and the first arrival flips the state, so the
+    /// setup completes even if the initiator is killed mid-setup and
+    /// never comes back to wake anyone.
     active_at: Time,
     /// In-flight message counts per direction; index 0 is low→high rank.
     in_flight: [usize; 2],
@@ -297,13 +297,14 @@ impl<M: Send + 'static> Endpoint<M> {
                     ConnState::Connecting => {
                         // Another process is mid-setup. Sleep until its
                         // recorded completion instant and re-observe
-                        // instead of parking on the waiter list: the
-                        // flip-time waiter wake would be a sub-lookahead
-                        // cross-shard wake under the parallel scheduler.
-                        // Whoever reaches `active_at` first performs the
-                        // flip (normally the initiator; a concurrent
-                        // connector completes an initiator that died
-                        // mid-setup).
+                        // instead of parking on the waiter list: an
+                        // initiator killed during its setup sleep never
+                        // flips the state, so a parked connector would
+                        // wait forever. Whoever reaches `active_at` first
+                        // performs the flip (normally the initiator; a
+                        // concurrent connector completes for a dead one,
+                        // and a later connector finding a stale
+                        // `Connecting` completes at once).
                         if p.now() >= c.active_at {
                             c.state = ConnState::Active;
                             let mut ws = std::mem::take(&mut c.waiters);
@@ -441,10 +442,7 @@ impl<M: Send + 'static> Endpoint<M> {
         };
         let fabric = self.fabric.clone();
         let from = self.node;
-        // Keyed on the destination node: under the parallel scheduler the
-        // delivery callback executes on the shard owning `peer`, so the
-        // receive-side wakes it performs stay shard-local.
-        inner.handle.call_at_keyed(u64::from(peer.0), arrival, move |h| {
+        inner.handle.call_at(arrival, move |h| {
             fabric.deliver(h, from, peer, msg, wire_size);
         });
     }

@@ -374,3 +374,66 @@ fn force_disconnect_noop_cases() {
     sim.run().unwrap();
     assert_eq!(fabric.stats().forced_down, 0);
 }
+
+#[test]
+fn connector_completes_setup_for_initiator_killed_mid_setup() {
+    // The initiator dies during `conn_setup_time` while a second process
+    // is mid-`connect`: nobody is left to flip the connection, so the
+    // second process must flip it itself at `active_at`.
+    let mut sim = Sim::new(0);
+    let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
+    let f = fabric.clone();
+    let initiator = sim.spawn("a", move |p| {
+        f.endpoint(A).connect(p, B);
+        unreachable!("killed during connection setup");
+    });
+    let got = Arc::new(Mutex::new(Vec::new()));
+    let (f, g) = (fabric.clone(), got.clone());
+    sim.spawn("a-recv", move |p| {
+        g.lock().push(f.endpoint(A).recv_wait(p));
+    });
+    let f = fabric.clone();
+    sim.spawn("b", move |p| {
+        p.sleep(time::us(100));
+        let ep = f.endpoint(B);
+        ep.connect(p, A);
+        assert_eq!(p.now(), time::ms(1), "completes at the initiator's active_at");
+        assert!(ep.is_connected(A));
+        ep.send(A, 7, 64);
+    });
+    let h = sim.handle();
+    sim.handle().call_at(time::us(500), move |_| h.kill(initiator));
+    sim.run().unwrap();
+    assert!(sim.handle().is_done(initiator));
+    assert_eq!(fabric.conn_state(A, B), ConnState::Active);
+    assert_eq!(fabric.stats().connects, 1, "the setup is counted exactly once");
+    assert_eq!(*got.lock(), vec![(B, 7)], "the follow-up send is delivered");
+}
+
+#[test]
+fn connect_finding_stale_connecting_completes_immediately() {
+    // No concurrent connector: the initiator dies mid-setup and leaves the
+    // connection `Connecting` past its `active_at`. A later `connect`
+    // completes the setup at once, without paying the setup cost again.
+    let mut sim = Sim::new(0);
+    let fabric: Fabric<u32> = Fabric::new(sim.handle(), test_cfg());
+    let f = fabric.clone();
+    let initiator = sim.spawn("a", move |p| {
+        f.endpoint(A).connect(p, B);
+        unreachable!("killed during connection setup");
+    });
+    let h = sim.handle();
+    sim.handle().call_at(time::us(500), move |_| h.kill(initiator));
+    let f = fabric.clone();
+    sim.spawn("b", move |p| {
+        p.sleep(time::ms(5));
+        assert_eq!(f.conn_state(A, B), ConnState::Connecting);
+        let ep = f.endpoint(B);
+        ep.connect(p, A);
+        assert_eq!(p.now(), time::ms(5), "a stale setup completes without waiting");
+        assert!(ep.is_connected(A));
+    });
+    sim.run().unwrap();
+    assert_eq!(fabric.stats().connects, 1);
+    assert_eq!(fabric.conn_state(A, B), ConnState::Active);
+}

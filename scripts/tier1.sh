@@ -12,7 +12,7 @@ cargo build --release --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 cargo test --release --workspace -q
 cargo run --release -p gbcr-bench --bin make_all -- \
-  --smoke --serial-check --sched --json target/BENCH_smoke.json \
+  --smoke --serial-check --json target/BENCH_smoke.json \
   > target/make_all_smoke.out 2> target/make_all_smoke.err
 cat target/make_all_smoke.err >&2
 
@@ -26,37 +26,17 @@ grep -q "executor check: tables byte-identical" target/make_all_smoke.err || {
   exit 1
 }
 
-# `--sched` reruns the whole smoke sweep under the conservative-window
-# parallel scheduler (forced to >=2 shards, so the windowed path executes
-# even on a 1-core runner) and fails on any byte difference; assert the
-# serial-vs-parallel identity pass actually ran.
-grep -q "sched check: tables byte-identical" target/make_all_smoke.err || {
-  echo "tier1: serial-vs-parallel scheduler identity check did not run:" >&2
-  tail -5 target/make_all_smoke.err >&2
-  exit 1
-}
-
 # Scale smoke: 256- and 1024-rank group-vs-cluster runs on the pooled
 # coroutine executor, under a hard wall budget (the whole binary takes
-# ~5 s wall on a 2-core host, scheduler A/B included, with CPU time about
-# equal to wall; the budget catches executor-overhead regressions, not CI
-# jitter). `--sched` reruns the sweep under the other scheduler backend
-# and exits non-zero unless the delay tables are byte-identical (and, on
-# a >=4-core host, unless parallel reaches 2x). The check line also
-# carries each pass's process CPU ms after `host_cores=`.
-timeout 120 cargo run --release -p gbcr-bench --bin scale -- --smoke --sched \
+# a few seconds wall on a 2-core host, with CPU time about equal to wall;
+# the budget catches executor-overhead regressions, not CI jitter).
+timeout 120 cargo run --release -p gbcr-bench --bin scale -- --smoke \
   > target/scale_smoke.out || {
   echo "tier1: scale smoke failed or blew its 120 s wall budget:" >&2
   tail -20 target/scale_smoke.out >&2
   exit 1
 }
-grep -Eq "scale sched check: tables_identical=true serial_ms=[0-9]+ parallel_ms=[0-9]+ speedup=[0-9.]+ host_cores=[0-9]+" \
-  target/scale_smoke.out || {
-  echo "tier1: scale serial-vs-parallel identity check did not pass:" >&2
-  cat target/scale_smoke.out >&2
-  exit 1
-}
-grep -Eq "scale check: max_ranks=1024 peak_exec_threads=[0-9]+ executor=(pooled|threaded) sched=(serial|parallel) host_cores=[0-9]+ monotone_reduction=true" \
+grep -Eq "scale check: max_ranks=1024 peak_exec_threads=[0-9]+ executor=(pooled|threaded) host_cores=[0-9]+ monotone_reduction=true" \
   target/scale_smoke.out || {
   echo "tier1: scale smoke diverged from golden:" >&2
   cat target/scale_smoke.out >&2
